@@ -94,38 +94,25 @@ DisasmResult linear_sweep(const zelf::Segment& text, int jobs,
   const std::uint64_t begin = text.vaddr;
   const std::uint64_t end = text.vaddr + text.bytes.size();
   DisasmResult out;
-
   // Chunks below ~16 KB are not worth a dispatch; this also keeps tiny
-  // binaries on the serial path regardless of the requested job count.
+  // binaries in one chunk, decoded inline, regardless of the requested job
+  // count.
   std::size_t workers = batch::effective_jobs(jobs, text.bytes.size() / (16 * 1024));
-  if (workers <= 1) {
-    std::vector<AddrInsnMap::value_type> v;
-    if (claims_scratch) {
-      v = std::move(*claims_scratch);
-      v.clear();
-    }
-    v.reserve(text.bytes.size() / 4);
-    sweep_run(text, begin, end, &v);
-    insert_coverage(v, &out.code);
-    out.insns.adopt_sorted(std::move(v));
-    return out;
-  }
 
-  // Parallel sweep: fixed chunks decode independently, then a sequential
-  // stitch repairs each boundary. Decoding at an address is memoryless --
-  // it depends only on the bytes there, not on how the sweep arrived -- so
-  // once the true stream reaches ANY address a chunk's local stream also
-  // decoded, the two streams coincide from that point on. The stitch
-  // re-decodes from the previous chunk's exit address until it hits such
-  // an address (usually within a few instructions) and splices the rest.
+  // Fixed chunks decode independently, then a sequential stitch repairs
+  // each boundary. Decoding at an address is memoryless -- it depends only
+  // on the bytes there, not on how the sweep arrived -- so once the true
+  // stream reaches ANY address a chunk's local stream also decoded, the two
+  // streams coincide from that point on. The stitch re-decodes from the
+  // previous chunk's exit address until it hits such an address (usually
+  // within a few instructions) and splices the rest.
   const std::uint64_t chunk = (end - begin + workers - 1) / workers;
   std::vector<SweepChunk> chunks(workers);
-  if (claims_scratch) {
-    // Chunk 0's stream seeds the merged vector below, so the donated
-    // capacity ends up backing the full stitched table.
-    chunks[0].insns = std::move(*claims_scratch);
-    chunks[0].insns.clear();
-  }
+  // Chunk 0's stream seeds the merged vector below, so donated capacity
+  // ends up backing the full stitched table.
+  std::vector<AddrInsnMap::value_type> own_claims;
+  chunks[0].insns = std::move(claims_scratch ? *claims_scratch : own_claims);
+  chunks[0].insns.clear();
   batch::parallel_for(static_cast<int>(workers), workers, [&](std::size_t i) {
     std::uint64_t lo = begin + chunk * i;
     std::uint64_t hi = std::min<std::uint64_t>(end, lo + chunk);
@@ -189,23 +176,24 @@ struct Traverser {
   const zelf::Image& image;
   const zelf::Segment& text;
   const TraversalOptions& opts;
-  AnalysisScratch* scratch;  ///< optional recycled buffers (may be null)
+  AnalysisScratch& scratch;  ///< recycled buffers backing the tables below
   TraversalResult result;
   /// FIFO via head index: identical visit order to a deque, but one flat
   /// recyclable buffer instead of per-chunk node churn (a deque allocates
   /// and frees a block every 64 pops on this push/pop-heavy walk).
-  std::vector<std::uint64_t> worklist;
+  std::vector<std::uint64_t>& worklist;
   std::size_t work_head = 0;
-  std::vector<std::uint8_t> state;  ///< per text byte
+  std::vector<std::uint8_t>& state;  ///< per text byte
   std::size_t claim_count = 0;
 
-  Traverser(const zelf::Image& img, const TraversalOptions& o, AnalysisScratch* s)
-      : image(img), text(img.text()), opts(o), scratch(s) {
-    if (scratch) {
-      state = std::move(scratch->byte_state);
-      worklist = std::move(scratch->traversal_work);
-      worklist.clear();
-    }
+  Traverser(const zelf::Image& img, const TraversalOptions& o, AnalysisScratch& s)
+      : image(img),
+        text(img.text()),
+        opts(o),
+        scratch(s),
+        worklist(s.traversal_work),
+        state(s.byte_state) {
+    worklist.clear();
     state.assign(text.bytes.size(), 0);
   }
 
@@ -358,11 +346,8 @@ struct Traverser {
   /// accumulating claims in discovery order and paying an O(n log n) sort
   /// over a multi-MB table -- the only superlinear term in the pipeline.
   void finalize() {
-    std::vector<AddrInsnMap::value_type> sorted;
-    if (scratch) {
-      sorted = std::move(scratch->code_claims);
-      sorted.clear();
-    }
+    std::vector<AddrInsnMap::value_type> sorted = std::move(scratch.code_claims);
+    sorted.clear();
     sorted.reserve(claim_count);
     isa::Insn insn;
     for (std::size_t off = 0; off < state.size(); ++off) {
@@ -379,7 +364,8 @@ struct Traverser {
 
 TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOptions& opts,
                                     AnalysisScratch* scratch) {
-  Traverser t(image, opts, scratch);
+  AnalysisScratch own_scratch;
+  Traverser t(image, opts, scratch ? *scratch : own_scratch);
   if (image.entry != 0) {
     t.worklist.push_back(image.entry);
     t.result.function_entries.insert(image.entry);
@@ -397,16 +383,72 @@ TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOpt
     t.drain();
   }
   t.finalize();
-  // Return the bitmap's and worklist's capacity to the donor for the next
-  // rewrite.
-  if (scratch) {
-    scratch->byte_state = std::move(t.state);
-    scratch->traversal_work = std::move(t.worklist);
-  }
   return std::move(t.result);
 }
 
 namespace {
+
+/// A verbatim range executes in place, so its decode stream must end where
+/// the claimed stream resumes. Claims a straddling verbatim instruction
+/// covers are its operand bytes, which rewriting them would corrupt: they
+/// are demoted, and the range grows until the two streams meet.
+void settle_verbatim_ends(const zelf::Segment& text, const AddrInsnMap& sweep, Aggregate& out) {
+  std::vector<Interval> grown;
+  std::uint64_t settled = 0;  // ranges ending at or below this were absorbed
+  for (const Interval& range : out.ambiguous.intervals()) {
+    if (range.end <= settled) continue;
+    std::uint64_t addr = range.begin;
+    std::uint64_t end = range.end;
+    auto swept = sweep.lower_bound(addr);
+    isa::Insn insn;
+    while (addr < end) {
+      // The same resynchronizing walk as the linear sweep, so once it lands
+      // on a swept start it follows the sweep's stream: skip to the sweep's
+      // last start before `end`.
+      while (swept != sweep.end() && swept->first < addr) ++swept;
+      if (swept != sweep.end() && swept->first == addr) {
+        swept = std::prev(sweep.lower_bound(end));
+        addr = swept->first;
+      }
+      if (!decode_at(text, addr, insn)) {
+        ++addr;
+        continue;
+      }
+      addr += insn.length;
+      // decode_at stays inside the file bytes; each byte from `end` on is a
+      // claimed start or ambiguous.
+      while (end < addr) {
+        if (const isa::Insn* claimed = out.code_insns.find(end)) {
+          ZIPR_WARN << "aggregate: verbatim instruction straddles claimed code at "
+                    << hex_addr(end) << "; keeping it verbatim";
+          out.demoted.append(end, *claimed);
+          end += claimed->length;
+        } else {
+          end = out.ambiguous.interval_containing(end)->end;
+        }
+      }
+    }
+    if (end > range.end) grown.push_back({range.begin, end});
+    settled = end;
+  }
+  for (const Interval& iv : grown) {
+    out.ambiguous.insert(iv);
+    out.definite_code.erase(iv.begin, iv.end);
+  }
+  if (out.demoted.empty()) return;
+  // One merge pass: both tables are sorted and every demoted entry is a claim.
+  auto kept = out.code_insns.release();
+  auto keep = kept.begin();
+  auto next = out.demoted.begin();
+  for (const auto& e : kept) {
+    if (next != out.demoted.end() && next->first == e.first)
+      ++next;
+    else
+      *keep++ = e;
+  }
+  kept.erase(keep, kept.end());
+  out.code_insns.adopt_sorted(std::move(kept));
+}
 
 Aggregate aggregate_impl(const zelf::Segment& text, const DisasmResult& linear,
                          AddrInsnMap code_insns, IntervalSet definite_code) {
@@ -420,6 +462,7 @@ Aggregate aggregate_impl(const zelf::Segment& text, const DisasmResult& linear,
   const std::uint64_t hi = text.vaddr + text.bytes.size();
   out.ambiguous.insert(lo, hi);
   for (const auto& iv : out.definite_code.intervals()) out.ambiguous.erase(iv.begin, iv.end);
+  settle_verbatim_ends(text, linear.insns, out);
 
   // Count active disagreements: ambiguous ranges where linear sweep claims
   // decodable instructions (the paper's Case 3, engines disagree).

@@ -59,14 +59,6 @@ class AddrInsnMap {
     v_.emplace_back(addr, insn);
   }
 
-  /// Take ownership of unsorted (addr, insn) claims; sorts by address.
-  /// Addresses must be unique (one claim per address).
-  void adopt_unsorted(std::vector<value_type> v) {
-    v_ = std::move(v);
-    std::sort(v_.begin(), v_.end(),
-              [](const value_type& a, const value_type& b) { return a.first < b.first; });
-  }
-
   /// Take ownership of claims already in ascending address order (the
   /// linear sweep discovers them that way); skips the sort AND the
   /// element-wise copy a rebuild through append() would cost.
@@ -91,7 +83,6 @@ class AddrInsnMap {
   const_iterator end() const { return v_.end(); }
   std::size_t size() const { return v_.size(); }
   bool empty() const { return v_.empty(); }
-  void reserve(std::size_t n) { v_.reserve(n); }
 
   /// Steal the backing vector (the map becomes empty). Lets a recycling
   /// caller reclaim the table's capacity once it is done with the entries.
@@ -152,9 +143,10 @@ struct TraversalOptions {
 /// IDA-like engine: follow control flow from the entry point to a fixpoint,
 /// including jump-table and address-constant discovery.
 ///
-/// `scratch`, if given, donates `byte_state` (returned on exit) and
-/// `code_claims` (escapes into `result.dis.insns`; reclaim via release()
-/// once the table is dead). Never changes the result.
+/// `scratch`, if given, backs the walk's `byte_state` and `traversal_work`
+/// in place and donates `code_claims` (escapes into `result.dis.insns`;
+/// reclaim via release() once the table is dead); if null, a local scratch
+/// does. Never changes the result.
 TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOptions& opts = {},
                                     AnalysisScratch* scratch = nullptr);
 
@@ -165,6 +157,10 @@ struct Aggregate {
   IntervalSet definite_code;
   /// Case 2/3 byte ranges: kept verbatim, also decoded for CFG purposes.
   IntervalSet ambiguous;
+  /// Traversal claims a verbatim instruction straddles (its operand bytes):
+  /// they stay verbatim and execute in place, so pinning treats their exits
+  /// like those of the verbatim decode stream.
+  AddrInsnMap demoted;
   /// Count of Case 3 decisions where the engines actively disagreed
   /// (linear sweep decoded bytes that nothing conclusive reaches).
   std::size_t disagreements = 0;

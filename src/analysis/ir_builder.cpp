@@ -17,10 +17,13 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // from its working copy so accidental use is impossible.
   prog.original.symbols.clear();
 
+  // The large transient tables live in the caller's scratch or a local one.
+  AnalysisScratch own_scratch;
+  AnalysisScratch& s = scratch ? *scratch : own_scratch;
+
   const zelf::Segment& text = image.text();
-  DisasmResult linear =
-      linear_sweep(text, jobs, scratch ? &scratch->sweep_claims : nullptr);
-  TraversalResult recursive = recursive_traversal(image, opts.traversal, scratch);
+  DisasmResult linear = linear_sweep(text, jobs, &s.sweep_claims);
+  TraversalResult recursive = recursive_traversal(image, opts.traversal, &s);
   // The move overload steals recursive.dis (the traversal metadata the
   // later stages read stays valid).
   Aggregate agg = aggregate(text, linear, std::move(recursive));
@@ -34,8 +37,7 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // ---- lift definite code into rows ----
   // row_at: text offset -> row id, a dense array instead of a tree (lookup
   // is one load; the text segment is at most a few MB).
-  std::vector<InsnId> row_at;
-  if (scratch) row_at = std::move(scratch->row_at);
+  std::vector<InsnId>& row_at = s.row_at;
   row_at.assign(text.bytes.size(), kNullInsn);
   auto row_at_addr = [&](std::uint64_t addr) -> InsnId {
     return (addr >= text.vaddr && addr - text.vaddr < row_at.size())
@@ -116,19 +118,13 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // Entry membership as a bitmap over row ids: the BFS below queries it
   // once per visited row, so a node-based set would be a cache miss per
   // instruction on big binaries.
-  std::vector<bool> entry_rows;
-  if (scratch) entry_rows = std::move(scratch->entry_rows);
+  std::vector<bool>& entry_rows = s.entry_rows;
   entry_rows.assign(prog.db.insn_count() + 1, false);
   for (std::uint64_t entry : recursive.function_entries) {
     if (InsnId id = row_at_addr(entry); id != kNullInsn) entry_rows[id] = true;
   }
-  std::vector<InsnId> work;  // FIFO via head index (same order as a deque)
-  std::vector<InsnId> members;  // staged, then copied in one exact-size alloc
-  if (scratch) {
-    work = std::move(scratch->work);
-    work.clear();
-    members = std::move(scratch->function_members);
-  }
+  std::vector<InsnId>& work = s.work;  // FIFO via head index (same order as a deque)
+  std::vector<InsnId>& members = s.function_members;  // staged, then copied exactly
   for (std::uint64_t entry : recursive.function_entries) {
     InsnId entry_id = row_at_addr(entry);
     if (entry_id == kNullInsn) continue;
@@ -165,19 +161,10 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
 
   ZIPR_TRY(prog.db.validate());
 
-  // Hand every borrowed buffer back (grown to this input's demand) so the
-  // next rewrite through the same scratch starts warm. The engine tables
-  // are dead at this point: the database copied what it keeps. On the
-  // early error returns above the buffers simply die with their locals and
-  // the scratch re-reserves next time -- a cost, never a correctness issue.
-  if (scratch) {
-    scratch->sweep_claims = linear.insns.release();
-    scratch->code_claims = agg.code_insns.release();
-    scratch->row_at = std::move(row_at);
-    scratch->entry_rows = std::move(entry_rows);
-    scratch->work = std::move(work);
-    scratch->function_members = std::move(members);
-  }
+  // Hand the dead engine tables' capacity back to the scratch (the database
+  // copied what it keeps); the early error returns above just drop it.
+  s.sweep_claims = linear.insns.release();
+  s.code_claims = agg.code_insns.release();
   return prog;
 }
 

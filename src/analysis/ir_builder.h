@@ -59,10 +59,11 @@ struct IrProgram {
 /// Run the full IR Construction phase on a binary image. `jobs` bounds
 /// intra-phase parallelism (the linear-sweep engine); it NEVER affects the
 /// resulting IR, so it is an execution knob, not an analysis option.
-/// `scratch` likewise: if given, the phase's large transient tables borrow
-/// the scratch buffers' capacity and return it (grown) on success, so a
-/// long-lived worker stops re-faulting them every rewrite. Each buffer is
-/// fully re-initialized here -- scratch NEVER affects the resulting IR.
+/// `scratch` likewise: if given, the phase's large transient tables live in
+/// the scratch buffers and keep their capacity for the next call, so a
+/// long-lived worker stops re-faulting them every rewrite; if null, they
+/// live in a local scratch that dies with the call. Each buffer is fully
+/// re-initialized here -- scratch NEVER affects the resulting IR.
 Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts = {},
                            int jobs = 1, AnalysisScratch* scratch = nullptr);
 

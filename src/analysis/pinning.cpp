@@ -7,12 +7,24 @@ namespace zipr::analysis {
 namespace {
 
 /// Decode every instruction embedded in a verbatim range (best effort,
-/// resynchronizing on failure like linear sweep) and report the addresses
-/// its control transfers can reach outside the range, plus whether
-/// execution can fall off the end.
+/// resynchronizing on failure like linear sweep), together with the
+/// demoted claims inside it, and report the addresses their control
+/// transfers can reach outside the range, plus whether execution can fall
+/// off the end.
 void verbatim_range_targets(const zelf::Segment& text, const Interval& range,
-                            std::set<std::uint64_t>* out_targets, bool* out_falls_off_end) {
+                            const AddrInsnMap& demoted, std::set<std::uint64_t>* out_targets,
+                            bool* out_falls_off_end) {
   *out_falls_off_end = false;
+  auto note_exits = [&](std::uint64_t addr, const isa::Insn& insn) {
+    if (insn.has_static_target()) {
+      std::uint64_t t = insn.target(addr);
+      if (!range.contains(t) && text.contains(t)) out_targets->insert(t);
+    }
+    if (addr + insn.length >= range.end && insn.has_fallthrough()) *out_falls_off_end = true;
+  };
+  for (auto it = demoted.lower_bound(range.begin); it != demoted.end() && it->first < range.end;
+       ++it)
+    note_exits(it->first, it->second);
   std::uint64_t addr = range.begin;
   while (addr < range.end) {
     std::uint64_t off = addr - text.vaddr;
@@ -27,12 +39,8 @@ void verbatim_range_targets(const zelf::Segment& text, const Interval& range,
       ++addr;
       continue;
     }
-    if (insn.has_static_target()) {
-      std::uint64_t t = insn.target(addr);
-      if (!range.contains(t) && text.contains(t)) out_targets->insert(t);
-    }
+    note_exits(addr, insn);
     addr += insn.length;
-    if (addr >= range.end && insn.has_fallthrough()) *out_falls_off_end = true;
   }
 }
 
@@ -85,7 +93,7 @@ PinSet compute_pins(const zelf::Image& image, const Aggregate& agg,
   for (const auto& range : agg.ambiguous.intervals()) {
     std::set<std::uint64_t> targets;
     bool falls = false;
-    verbatim_range_targets(text, range, &targets, &falls);
+    verbatim_range_targets(text, range, agg.demoted, &targets, &falls);
     for (std::uint64_t t : targets) add_pin(t, kPinVerbatimTarget);
     if (falls && text.contains(range.end)) add_pin(range.end, kPinVerbatimFall);
   }

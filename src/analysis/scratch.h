@@ -7,8 +7,8 @@
 // long-lived serve/batch worker those allocations (and their page faults)
 // repeat for every request. AnalysisScratch owns the backing buffers so a
 // worker can hand the SAME storage to successive rewrites: build_ir()
-// borrows each buffer by move, sizes it for the current input (capacity
-// retained), and moves it back before returning.
+// sizes each buffer for the current input in place (capacity retained) and
+// reclaims the claim tables that escape into its results before returning.
 //
 // Not thread-safe; one scratch belongs to at most one rewrite at a time
 // (see zipr::RewriteWorkspace for pooling). Never affects output bytes:

@@ -188,23 +188,21 @@ class Parser {
       }
       return std::nullopt;
     }
-    std::int64_t v = 0;
-    if (t.size() > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X')) {
-      for (char c : t.substr(2)) {
-        int d;
-        if (c >= '0' && c <= '9') d = c - '0';
-        else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-        else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-        else return std::nullopt;
-        v = v * 16 + d;
-      }
-    } else {
-      for (char c : t) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-        v = v * 10 + (c - '0');
-      }
+    // A literal names a 64-bit pattern: up to UINT64_MAX wraps into the
+    // signed result, anything larger is rejected.
+    const bool hex = t.size() > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X');
+    const unsigned base = hex ? 16 : 10;
+    std::uint64_t v = 0;
+    for (char c : hex ? t.substr(2) : t) {
+      unsigned d;
+      if (c >= '0' && c <= '9') d = c - '0';
+      else if (hex && c >= 'a' && c <= 'f') d = c - 'a' + 10;
+      else if (hex && c >= 'A' && c <= 'F') d = c - 'A' + 10;
+      else return std::nullopt;
+      if (v > (UINT64_MAX - d) / base) return std::nullopt;
+      v = v * base + d;
     }
-    return neg ? -v : v;
+    return static_cast<std::int64_t>(neg ? 0 - v : v);
   }
 
   // Parse `const` | `symbol` | `symbol+const` | `symbol-const`.
@@ -212,6 +210,8 @@ class Parser {
     t = trim(t);
     if (t.empty()) return err("empty expression");
     if (auto v = parse_int(t)) return Expr{"", *v};
+    if (std::isdigit(static_cast<unsigned char>(t[0])))
+      return err("bad integer literal '" + std::string(t) + "' (malformed or above 2^64-1)");
     // symbol [±const]
     std::size_t i = 0;
     while (i < t.size() && is_ident_char(t[i])) ++i;

@@ -3,14 +3,15 @@
 // The rewrite pipeline builds many short-lived, densely-linked structures
 // (dollops, placement bookkeeping) whose lifetimes all end together when
 // the rewrite finishes. A monotonic arena turns those thousands of
-// individual heap operations into pointer bumps over a few retained
-// chunks: reset() rewinds to empty but KEEPS the chunks, so a warm serve
-// or batch worker pays malloc only on its first rewrite (and whenever a
-// later input needs more capacity than any earlier one did).
+// individual heap operations into pointer bumps over a few chunks.
+// reset() rewinds to empty but KEEPS the chunks, so a worker that recycles
+// one arena (zipr::RewriteWorkspace) pays malloc only on its first rewrite
+// (and whenever a later input needs more capacity than any earlier one
+// did); a rewrite without a workspace gets a fresh arena that dies with its
+// zipr::rewriter::Reassembler.
 //
-// Not thread-safe: each worker owns its own arena (see thread_local use in
-// zipr::Reassembler). Trivially-destructible payloads only -- reset() does
-// not run destructors.
+// Not thread-safe: an arena serves one rewrite at a time. Trivially-
+// destructible payloads only -- reset() does not run destructors.
 #pragma once
 
 #include <cstddef>

@@ -30,43 +30,8 @@ bool rel8_reaches(std::uint64_t site, std::uint64_t target) {
 
 }  // namespace
 
-namespace {
-
-MonotonicArena& thread_arena() {
-  static thread_local MonotonicArena arena;
-  return arena;
-}
-
-}  // namespace
-
-std::size_t thread_arena_retained_bytes() { return thread_arena().retained_bytes(); }
-
-MonotonicArena* Reassembler::acquire_arena() {
-  // One arena per thread, rewound (chunks retained) for every rewrite.
-  // Two live Reassemblers on one thread would clobber each other's
-  // allocations; the pipeline constructs exactly one per rewrite and each
-  // worker thread runs its rewrites sequentially.
-  //
-  // Retention is bounded by a two-cycle hysteresis: `prev_used` remembers
-  // the demand of the rewrite before last, so the budget only collapses
-  // once TWO consecutive rewrites were small -- a x50 request followed by
-  // x1 traffic releases its ~100s-of-MB high-water mark on the second
-  // small acquire instead of pinning it in the thread_local forever, while
-  // alternating big/small traffic never thrashes.
-  static thread_local std::size_t prev_used = 0;
-  MonotonicArena& arena = thread_arena();
-  std::size_t used = arena.used_bytes();  // demand of the previous rewrite
-  std::size_t budget = 2 * std::max(used, prev_used) + (64 * 1024);
-  if (arena.retained_bytes() > budget)
-    arena.trim(budget);  // also rewinds
-  else
-    arena.reset();
-  prev_used = used;
-  return &arena;
-}
-
 MonotonicArena* Reassembler::select_arena(MonotonicArena* external) {
-  if (!external) return acquire_arena();
+  if (!external) return &own_arena_;
   external->reset();
   return external;
 }

@@ -58,8 +58,8 @@ struct ReassemblyOptions {
   /// bounds the main-span space a single placement decision can claim.
   std::size_t max_coalesce_run = 64;
   /// External rewrite arena (a RewriteWorkspace's, recycled across
-  /// requests). Rewound before use; never affects output bytes. Null uses
-  /// the bounded per-thread arena.
+  /// requests). Rewound before use; never affects output bytes. Null gives
+  /// the Reassembler an arena of its own that dies with it.
   MonotonicArena* arena = nullptr;
 };
 
@@ -202,21 +202,15 @@ class Reassembler {
   // offset arithmetic would otherwise underflow into a wild OOB write).
   Status write_bytes(std::uint64_t addr, ByteView bytes);
 
-  /// The per-thread rewrite arena, rewound (chunks retained) for this
-  /// rewrite. One Reassembler per thread at a time: a warm batch/serve
-  /// worker pays chunk malloc only on its first rewrite. Retention is
-  /// bounded: an arena holding far more than the last two rewrites needed
-  /// is trimmed here, so one oversized rewrite cannot pin its high-water
-  /// mark in the thread_local forever.
-  static MonotonicArena* acquire_arena();
-  /// `opts.arena` (rewound) when set, else the per-thread arena.
-  static MonotonicArena* select_arena(MonotonicArena* external);
+  /// `opts.arena` (rewound) when set, else this rewrite's own arena.
+  MonotonicArena* select_arena(MonotonicArena* external);
 
   analysis::IrProgram& prog_;
   ReassemblyOptions opts_;
   MemorySpace space_;
   std::unique_ptr<PlacementStrategy> strategy_;
-  MonotonicArena* arena_;  ///< per-thread; owns dollops, M, and the logs
+  MonotonicArena own_arena_;  ///< used when opts.arena is null; dies with the rewrite
+  MonotonicArena* arena_;     ///< owns dollops, M, and the logs
   DollopManager dollops_;
 
   Bytes main_buf_;      ///< [main.begin, main.end)
@@ -236,9 +230,5 @@ class Reassembler {
   ArenaVector<PatchRec> patch_log_;
   RewriteStats stats_;
 };
-
-/// Capacity currently pinned by the calling thread's rewrite arena
-/// (regression tests for the bounded-retention policy in acquire_arena).
-std::size_t thread_arena_retained_bytes();
 
 }  // namespace zipr::rewriter

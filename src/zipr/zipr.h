@@ -89,8 +89,8 @@ struct ExecPolicy {
 
   /// Recycled scratch state (see workspace.h): the pipeline's large
   /// transient tables and the reassembly arena borrow this workspace's
-  /// capacity instead of allocating fresh. Null allocates per call (the
-  /// reassembly arena then falls back to its bounded thread_local). Every
+  /// capacity instead of allocating fresh. Null allocates per call: the
+  /// tables and the reassembly arena die with the rewrite. Every
   /// borrowed buffer is re-initialized per rewrite -- output bytes are
   /// identical with or without a workspace, so like `jobs` this stays an
   /// execution knob, never part of the cache key.

@@ -379,6 +379,45 @@ TEST(Pinning, VerbatimEmbeddedBranchTargetsPinned) {
   EXPECT_TRUE(p.pins.at(after) & (kPinVerbatimTarget | kPinVerbatimFall));
 }
 
+TEST(Pinning, ClaimsUnderAStraddlingVerbatimInstructionStayVerbatim) {
+  // `movi r5, tricky+2` seeds the traversal inside addi's immediate, whose
+  // bytes decode as `jgt main; or r0, r0`. The seed is claimed first, so the
+  // real fallthrough into `tricky` hits a tail overlap and leaves a 2-byte
+  // ambiguous range. The addi executes in place and straddles the claims:
+  // they must stay verbatim, the range must run to where the streams meet
+  // (tricky+6), and the exits of every byte in it must be pinned.
+  PinFixture f(R"(
+    .entry main
+    .text
+    main:
+      movi r5, tricky+2
+      movi r4, 1
+      movi r1, 0
+    tricky:
+      addi r4, 0x0009EA74
+      movi r0, 1
+      mov r1, r4
+      syscall
+      hlt
+  )");
+  const std::uint64_t tricky = kTextBase + 18;
+  auto range = f.agg.ambiguous.interval_containing(tricky);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(range->begin, tricky);
+  EXPECT_EQ(range->end, tricky + 6);
+  EXPECT_FALSE(f.agg.code_insns.count(tricky + 2));
+  EXPECT_FALSE(f.agg.code_insns.count(tricky + 4));
+  EXPECT_TRUE(f.agg.code_insns.count(tricky + 6));
+  EXPECT_EQ(f.agg.demoted.size(), 2u);
+
+  auto p = f.pins();
+  EXPECT_TRUE(p.covered_by_verbatim.count(tricky + 2));  // the code constant
+  ASSERT_TRUE(p.pins.count(tricky + 6));                 // where the streams meet
+  EXPECT_TRUE(p.pins.at(tricky + 6) & kPinVerbatimFall);
+  ASSERT_TRUE(p.pins.count(kTextBase));  // the demoted jgt's target
+  EXPECT_TRUE(p.pins.at(kTextBase) & kPinVerbatimTarget);
+}
+
 // ---- IR builder ----
 
 TEST(IrBuilder, BuildsLinkedRows) {

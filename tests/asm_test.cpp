@@ -252,6 +252,37 @@ TEST(Asm, DataDirectives) {
   EXPECT_EQ(b[21], 0);
 }
 
+TEST(Asm, LiteralsSpanTheFull64BitRange) {
+  // Decimal and hex literals up to UINT64_MAX name a 64-bit pattern.
+  auto img = asm_ok(R"(
+    .entry main
+    .text
+    main:
+      movi64 r1, 18446744073709551615
+      movi64 r2, 0xffffffffffffffff
+      movi64 r3, 9223372036854775808
+      movi64 r4, -9223372036854775808
+      hlt
+    .rodata
+    q: .quad 18446744073709551615, 0xFFFFFFFFFFFFFFFF
+  )");
+  ASSERT_TRUE(img.ok());
+  const Bytes& text = img->text().bytes;
+  std::size_t off = 0;
+  const std::int64_t want[] = {-1, -1, INT64_MIN, INT64_MIN};
+  for (std::int64_t w : want) {
+    auto i = isa::decode(ByteView(text.data() + off, text.size() - off));
+    ASSERT_TRUE(i.ok());
+    EXPECT_EQ(i->op, isa::Op::kMovI64);
+    EXPECT_EQ(i->imm, w);
+    off += i->length;
+  }
+  const auto* rod = img->segment_of(zelf::SegKind::kRodata);
+  ASSERT_NE(rod, nullptr);
+  EXPECT_EQ(get_u64(rod->bytes, 0), ~std::uint64_t{0});
+  EXPECT_EQ(get_u64(rod->bytes, 8), ~std::uint64_t{0});
+}
+
 TEST(Asm, JumpTableViaQuadLabels) {
   auto img = asm_ok(R"(
     .entry main
@@ -386,6 +417,11 @@ struct ErrorCase {
   const char* expect_fragment;
 };
 
+// Print a case by its name: gtest's default dumps the struct's bytes, which are
+// pointers that move with address randomisation, so the listed test name
+// (and the ctest name built from it) would differ on every discovery.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class AsmErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(AsmErrorTest, ReportsLineAndCause) {
@@ -407,7 +443,11 @@ INSTANTIATE_TEST_SUITE_P(
         ErrorCase{"WrongOperandCount", ".entry m\n.text\nm: add r0\n", "expects"},
         ErrorCase{"InsnInData", ".entry m\n.text\nm: hlt\n.data\nnop\n", "only allowed in .text"},
         ErrorCase{"BadDirective", ".entry m\n.text\nm: hlt\n.bogus\n", "bogus"},
-        ErrorCase{"BadAlign", ".entry m\n.text\nm: hlt\n.align 3\n", "align"}),
+        ErrorCase{"BadAlign", ".entry m\n.text\nm: hlt\n.align 3\n", "align"},
+        ErrorCase{"DecimalAbove64Bits",
+                  ".entry m\n.text\nm: movi64 r1, 18446744073709551616\n", "2^64-1"},
+        ErrorCase{"HexAbove64Bits", ".entry m\n.text\nm: hlt\n.rodata\n.quad 0x10000000000000000\n",
+                  "2^64-1"}),
     [](const ::testing::TestParamInfo<ErrorCase>& info) { return info.param.name; });
 
 TEST(Asm, ErrorsCarryLineNumbers) {

@@ -80,6 +80,36 @@ TEST(DoubleRewrite, TripleNullRewriteConverges) {
   }
 }
 
+// ---- a code constant that tail-overlaps the real stream ----
+
+TEST(TailOverlap, StraddledClaimsAreNotRewrittenUnderAnyStrategy) {
+  // The constant `tricky+2` points into addi's immediate, which decodes as
+  // `jgt main; or r0, r0`; the traversal claims that stream before the
+  // real fallthrough reaches `tricky`. Rewriting the claimed bytes (a pin
+  // reference, or a re-encoded jgt) would corrupt the immediate the
+  // in-place addi reads, and the exit status with it.
+  zelf::Image original = must_assemble(R"(
+    .entry main
+    .text
+    main:
+      movi r5, tricky+2
+      movi r4, 1
+      movi r1, 0
+    tricky:
+      addi r4, 0x0009EA74
+      movi r0, 1
+      mov r1, r4
+      syscall
+      hlt
+  )");
+  for (auto kind : {rewriter::PlacementKind::kNearfit, rewriter::PlacementKind::kDiversity,
+                    rewriter::PlacementKind::kPinPage}) {
+    RewriteOptions opts;
+    opts.placement = kind;
+    expect_equivalent(original, must_rewrite(original, opts).image);
+  }
+}
+
 // ---- malformed inputs must error, never crash ----
 
 TEST(Fuzz, TruncatedImagesRejectedCleanly) {

@@ -117,6 +117,10 @@ struct BadDump {
   const char* text;
 };
 
+// Print a case by its name, not by its pointer bytes, so the listed test name
+// is the same on every discovery.
+void PrintTo(const BadDump& d, std::ostream* os) { *os << d.name; }
+
 class SerializeErrorTest : public ::testing::TestWithParam<BadDump> {};
 
 TEST_P(SerializeErrorTest, Rejected) {

@@ -1048,28 +1048,6 @@ TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
   EXPECT_EQ(zelf::write_image(r->image), zelf::write_image(must_rewrite(small).image));
 }
 
-TEST(Workspace, ThreadLocalArenaRetentionIsBounded) {
-  // Workspace-less rewrites share a thread_local reassembly arena; its
-  // retention uses a two-cycle hysteresis, so a x50 rewrite followed by
-  // sustained x1 traffic must release the high-water mark by the third
-  // small acquire instead of pinning it for the thread's lifetime.
-  zelf::Image big = must_assemble(straightline_program(20000));
-  zelf::Image small = must_assemble(straightline_program(50));
-
-  ASSERT_TRUE(rewrite(big).ok());
-  std::size_t after_big = rewriter::thread_arena_retained_bytes();
-  ASSERT_GT(after_big, 0u);
-
-  std::size_t settled = after_big;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(rewrite(small).ok());
-    settled = std::min(settled, rewriter::thread_arena_retained_bytes());
-  }
-  EXPECT_LT(settled, after_big / 2)
-      << "thread arena still pins the oversized high-water mark ("
-      << after_big << " -> " << settled << " bytes)";
-}
-
 TEST(WorkspacePool, CheckoutRecyclesSequentiallyAndLeaseReturns) {
   WorkspacePool pool;
   EXPECT_EQ(pool.created(), 0u);

@@ -365,8 +365,9 @@ int main(int argc, char** argv) {
         "                [--cov-prune|--no-cov-prune]\n"
         "                (coverage-guided fuzzing; --shards>1 = multi-shard farm)\n"
         "       zipr-cli serve --socket=<path> [--jobs=N] [--cache-mb=N] [--no-delta]\n"
-        "                [--max-delta-pages=N] [--max-requests=N]\n"
-        "                (rewrite service: content-addressed cache + delta path)\n"
+        "                [--max-delta-pages=N] [--max-requests=N] [--cache-file=<path>]\n"
+        "                (rewrite service: content-addressed cache + delta path;\n"
+        "                --cache-file persists the cache across restarts)\n"
         "       zipr-cli submit <input.zelf> --socket=<path> --out=<output.zelf>\n"
         "                [shared rewrite flags]\n"
         "                (send one job to a running serve instance)\n");
